@@ -51,12 +51,9 @@ pub enum XdropKernel {
     /// runs branch-free, 64 match bits per mask fetch (portable integer
     /// ops only). Inputs it cannot handle exactly (non-ACGT codes,
     /// extreme scoring/x-drop magnitudes) fall back to the scalar
-    /// oracle, so output equality holds on *all* inputs.
-    BitParallel,
-    /// Let the library pick (currently always the bit-parallel kernel,
-    /// which falls back to scalar where needed).
+    /// oracle, so output equality holds on *all* inputs. The default.
     #[default]
-    Auto,
+    BitParallel,
 }
 
 /// Largest `|match|`/`|mismatch|`/`|gap|` the bit-parallel kernel
@@ -84,7 +81,7 @@ const LIVE_FLOOR: i32 = NEG / 2;
 /// largest extension seen and are then reused at that capacity.
 ///
 /// The workspace also pins the [`XdropKernel`] used by every extension
-/// run through it (default [`XdropKernel::Auto`]); the bit-parallel
+/// run through it (default [`XdropKernel::BitParallel`]); the bit-parallel
 /// kernel's match-mask words live here too, so kernel choice costs no
 /// per-call allocation either.
 #[derive(Debug, Default)]
@@ -158,7 +155,7 @@ pub fn xdrop_extend_with(
 ) -> Extension {
     match ws.kernel {
         XdropKernel::Scalar => xdrop_extend_scalar(ws, a, b, xdrop, sc),
-        XdropKernel::BitParallel | XdropKernel::Auto => {
+        XdropKernel::BitParallel => {
             let clamp = -STEP_CLAMP..=STEP_CLAMP;
             if !clamp.contains(&sc.match_score)
                 || !clamp.contains(&sc.mismatch)
@@ -1243,7 +1240,7 @@ mod tests {
                 sc,
             );
             let p = xdrop_extend_with(
-                &mut XdropWorkspace::with_kernel(XdropKernel::Auto),
+                &mut XdropWorkspace::with_kernel(XdropKernel::BitParallel),
                 &a,
                 &b,
                 x,
@@ -1257,7 +1254,7 @@ mod tests {
     fn workspace_kernel_knob_and_mask_accounting() {
         let ws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
         assert_eq!(ws.kernel(), XdropKernel::Scalar);
-        assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::Auto);
+        assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::BitParallel);
         // The bit-parallel masks must show up in the scratch-honesty
         // accounting once an extension has sized them.
         let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);

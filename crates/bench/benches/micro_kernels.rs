@@ -2,8 +2,9 @@
 //! every figure: local SpGEMM (overlap detection's inner loop), x-drop
 //! extension (the Alignment phase), k-mer scanning (CountKmer), the
 //! DCSC→CSC expansion (§4.4), the connected-components sweep, the
-//! distributed SUMMA schedules (eager vs. pipelined vs. blocked — all
-//! running zero-copy `Arc`-shared stage broadcasts), the owned-vs-shared
+//! distributed SUMMA schedules (reference vs. layered vs. budgeted
+//! column-batched — all running zero-copy `Arc`-shared stage
+//! broadcasts), the owned-vs-shared
 //! broadcast comparison itself, and the k-mer exchange schedules (eager
 //! vs. streaming `ialltoallv`).
 
@@ -138,10 +139,11 @@ fn bench_union_find(c: &mut Criterion) {
 }
 
 /// The distributed `C = AAᵀ` multiply under each SUMMA schedule on a
-/// 2×2 in-process grid — the eager-vs-pipelined-vs-blocked comparison
-/// behind the pipelined-SpGEMM refactor. The pipelined schedule should
-/// shave the broadcast serialization; blocked should match eager's time
-/// shape while never materializing the global triple buffer.
+/// 2×2 in-process grid, against the blocking reference multiply
+/// (`DistMat::spgemm_reference`). The pipelined `layered1` should shave
+/// the broadcast serialization; `layered2` trades resident partials for
+/// a cheaper merge; the budgeted column-batched run pays a structure
+/// pass and re-broadcasts for its memory bound.
 fn bench_summa_schedules(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let (n_reads, n_kmers, per_row) = (600usize, 4_000usize, 12usize);
@@ -153,9 +155,13 @@ fn bench_summa_schedules(c: &mut Criterion) {
     }
     let triples = Arc::new(triples);
     for (label, opts) in [
-        ("eager", SpGemmOptions::eager()),
-        ("pipelined", SpGemmOptions::pipelined()),
-        ("blocked_64", SpGemmOptions::blocked(64)),
+        ("reference", None),
+        ("layered1", Some(SpGemmOptions::layered(1))),
+        ("layered2", Some(SpGemmOptions::layered(2))),
+        (
+            "colbatch_256k",
+            Some(SpGemmOptions::column_batched(64, Some(256 << 10))),
+        ),
     ] {
         let triples = Arc::clone(&triples);
         c.bench_function(&format!("summa_aat_600x4000_p4_{label}"), |bencher| {
@@ -171,7 +177,10 @@ fn bench_summa_schedules(c: &mut Criterion) {
                     let a =
                         DistMat::from_triples(&grid, n_reads, n_kmers, mine, |acc, _| *acc += 1.0);
                     let at = a.transpose(&grid);
-                    let c = a.spgemm_with(&grid, &at, &PlusTimes, &opts);
+                    let c = match &opts {
+                        Some(opts) => a.spgemm_with(&grid, &at, &PlusTimes, opts),
+                        None => a.spgemm_reference(&grid, &at, &PlusTimes),
+                    };
                     black_box(c.local().nnz())
                 })
             })

@@ -150,27 +150,20 @@ impl MachineModel {
 /// the crate graph); the sparse side maps between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePlan {
-    /// Blocking broadcast per stage, triples accumulated and sort-merged
-    /// once at the end. No overlap; merge touches every intermediate
-    /// product.
-    Eager,
-    /// One-stage broadcast lookahead, running CSR merge per stage.
-    Pipelined,
+    /// 2.5D-style: stages split into `c` contiguous slices, each slice's
+    /// broadcasts posted as one batch, per-layer partials combined by one
+    /// k-way merge at the end. `c = 1` is the pipelined schedule:
+    /// one-stage broadcast lookahead, running CSR merge per stage.
+    Layered { c: usize },
     /// Output-batched rounds sized to the memory budget, with a structure
     /// estimate pass when budgeted.
     ColumnBatched,
-    /// 2.5D-style: stages split into `c` contiguous slices, each slice's
-    /// broadcasts posted as one batch, per-layer partials combined by one
-    /// k-way merge at the end.
-    Layered { c: usize },
 }
 
 impl SchedulePlan {
     /// Short label used in logs and bench JSON.
     pub fn label(&self) -> String {
         match self {
-            SchedulePlan::Eager => "eager".into(),
-            SchedulePlan::Pipelined => "pipelined".into(),
             SchedulePlan::ColumnBatched => "column-batched".into(),
             SchedulePlan::Layered { c } => format!("layered:{c}"),
         }
@@ -252,19 +245,15 @@ impl CostConstants {
         let stage = est.stage_bytes;
         let result = est.result_entries * est.entry_bytes;
         match plan {
-            // Accumulated triples of *every* intermediate product
-            // (index pair + value per flop) plus the in-flight stage.
-            SchedulePlan::Eager => est.flops * (est.entry_bytes + 8.0) + stage,
-            // Accumulator + merged copy + current and prefetched stage.
-            SchedulePlan::Pipelined => 2.0 * result + 2.0 * stage,
-            // c resident partials + combine output + the in-flight slice
-            // batch (current + prefetched, ⌈q/c⌉ stages each). c=1 is
-            // the pipelined path and charges like it.
             SchedulePlan::Layered { c } => {
                 let c = (c.max(1) as f64).min(q);
                 if c <= 1.0 {
-                    return self.peak_bytes(SchedulePlan::Pipelined, est);
+                    // Pipelined: accumulator + merged copy + current and
+                    // prefetched stage.
+                    return 2.0 * result + 2.0 * stage;
                 }
+                // c resident partials + combine output + the in-flight
+                // slice batch (current + prefetched, ⌈q/c⌉ stages each).
                 let slice = (q / c).ceil();
                 (c + 1.0) * result + 2.0 * slice * stage
             }
@@ -295,19 +284,18 @@ impl CostConstants {
     ///
     /// ```text
     /// T = startup + max(comm − startup, compute)       // overlap
-    /// comm_eager      = q·(L + W)       compute += γ·flops·log2(flops) (sort)
-    /// comm_pipelined  = q·(L + W)       merge = 3γE·(q−1)   (binary, per stage)
+    /// comm_layered(1) = q·(L + W)       merge = 3γE·(q−1)   (binary, per stage)
     /// comm_layered(c) = c·L + q·W       merge = 3γE·(q−c) + 2γE
-    /// comm_colbatch   = r·q·(L + W) + structure pass; merge as pipelined
+    /// comm_colbatch   = r·q·(L + W) + structure pass; merge as layered(1)
     /// L = α·log2 p,  W = stage_bytes/β,  E = result_entries
     /// ```
     ///
-    /// Eager gets no overlap (blocking broadcasts). A binary CSR merge
-    /// touches ~3E entries (read both sides, write the union); the
-    /// layered k-way combine touches Σ nnz(part) + E ≈ 2E once (stage
-    /// outputs are near-disjoint slabs, so the partials sum to E), which
-    /// is why layered's merge term shrinks as c approaches q while its
-    /// memory peak grows — exactly the 2.5D memory-for-traffic trade.
+    /// A binary CSR merge touches ~3E entries (read both sides, write the
+    /// union); the layered k-way combine touches Σ nnz(part) + E ≈ 2E
+    /// once (stage outputs are near-disjoint slabs, so the partials sum
+    /// to E), which is why layered's merge term shrinks as c approaches q
+    /// while its memory peak grows — exactly the 2.5D memory-for-traffic
+    /// trade.
     /// Returns `f64::INFINITY` when the modeled peak exceeds
     /// `est.mem_budget`.
     pub fn predict_phase(&self, plan: SchedulePlan, est: &SpGemmEstimate) -> f64 {
@@ -323,23 +311,15 @@ impl CostConstants {
         let mul = self.gamma * est.flops;
         let e = est.result_entries;
         match plan {
-            SchedulePlan::Eager => {
-                // Final combine is a comparison sort over every
-                // intermediate triple: n·log2 n entry touches.
-                let sort = self.gamma * est.flops * est.flops.max(2.0).log2();
-                q * (lat + wire) + mul + sort
-            }
-            SchedulePlan::Pipelined => {
-                let startup = lat + wire;
-                let comm = q * (lat + wire);
-                let compute = mul + 3.0 * self.gamma * e * (q - 1.0);
-                startup + (comm - startup).max(compute)
-            }
             SchedulePlan::Layered { c } => {
                 let c = (c.max(1) as f64).min(q);
                 if c <= 1.0 {
-                    // c=1 *is* the pipelined schedule (dispatched there).
-                    return self.predict_phase(SchedulePlan::Pipelined, est);
+                    // Pipelined: one-stage lookahead, binary merge per
+                    // stage.
+                    let startup = lat + wire;
+                    let comm = q * (lat + wire);
+                    let compute = mul + 3.0 * self.gamma * e * (q - 1.0);
+                    return startup + (comm - startup).max(compute);
                 }
                 let slice = (q / c).ceil();
                 let startup = lat + slice * wire;
@@ -372,7 +352,7 @@ impl CostConstants {
     /// Cheapest feasible candidate, first-wins on ties (order the
     /// candidates by preference). A challenger must beat the incumbent
     /// by a 0.1% margin: formulas that are algebraically equal on
-    /// degenerate grids (layered at c = q = 2 vs pipelined) can differ
+    /// degenerate grids (layered at c = q = 2 vs c = 1) can differ
     /// in the last float ulp, and the model's precision is nowhere near
     /// that — sub-margin differences are ties, resolved by candidate
     /// order. Falls back to the first candidate if every prediction is
@@ -531,20 +511,29 @@ mod tests {
     }
 
     #[test]
-    fn layered_c1_predicts_exactly_pipelined() {
+    fn layered_c1_predicts_the_pipelined_formula() {
+        // c = 1 is the pipelined schedule: one-stage lookahead and a
+        // binary merge per stage, evaluated in exactly this order so the
+        // prediction (and hence every auto pick) keeps its bits.
         let k = CostConstants::in_process();
         let e = est(3, 1e7, 1e6);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
-        let lay = k.predict_phase(SchedulePlan::Layered { c: 1 }, &e);
+        let q = 3.0f64;
+        let lat = k.alpha * (q * q).log2().max(1.0);
+        let wire = e.stage_bytes / k.beta;
+        let startup = lat + wire;
+        let comm = q * (lat + wire);
+        let compute = k.gamma * e.flops + 3.0 * k.gamma * e.result_entries * (q - 1.0);
+        let want = startup + (comm - startup).max(compute);
         assert_eq!(
-            pipe.to_bits(),
-            lay.to_bits(),
-            "c=1 must be the pipelined path"
+            k.predict_phase(SchedulePlan::Layered { c: 1 }, &e)
+                .to_bits(),
+            want.to_bits()
         );
-        // Same through the clamp: c > q on a 1×1 grid is still pipelined.
+        // Through the clamp: c > q on a 1×1 grid is still c = 1.
         let e1 = est(1, 1e7, 1e6);
         assert_eq!(
-            k.predict_phase(SchedulePlan::Pipelined, &e1).to_bits(),
+            k.predict_phase(SchedulePlan::Layered { c: 1 }, &e1)
+                .to_bits(),
             k.predict_phase(SchedulePlan::Layered { c: 3 }, &e1)
                 .to_bits(),
         );
@@ -558,11 +547,9 @@ mod tests {
         // k-way combine (touching (c+1)·E) beats q−1 binary merges
         // (touching 3E each).
         let e = est(3, 2e6, 1e6);
-        let eager = k.predict_phase(SchedulePlan::Eager, &e);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
+        let pipe = k.predict_phase(SchedulePlan::Layered { c: 1 }, &e);
         let lay = k.predict_phase(SchedulePlan::Layered { c: 3 }, &e);
-        assert!(lay < pipe, "layered {lay} must beat pipelined {pipe}");
-        assert!(pipe < eager, "pipelined {pipe} must beat eager {eager}");
+        assert!(lay < pipe, "layered:3 {lay} must beat layered:1 {pipe}");
     }
 
     #[test]
@@ -570,17 +557,18 @@ mod tests {
         let k = CostConstants::in_process();
         let mut e = est(3, 1e8, 1e7);
         e.mem_budget = Some(16 << 20); // far below (c+1)·E·entry_bytes
-        assert!(k.predict_phase(SchedulePlan::Eager, &e).is_infinite());
+        assert!(k
+            .predict_phase(SchedulePlan::Layered { c: 1 }, &e)
+            .is_infinite());
         assert!(k
             .predict_phase(SchedulePlan::Layered { c: 3 }, &e)
             .is_infinite());
         let (pick, cost) = k.pick_schedule(
             &e,
             &[
-                SchedulePlan::Pipelined,
+                SchedulePlan::Layered { c: 1 },
                 SchedulePlan::Layered { c: 3 },
                 SchedulePlan::ColumnBatched,
-                SchedulePlan::Eager,
             ],
         );
         assert_eq!(pick, SchedulePlan::ColumnBatched, "only feasible schedule");
@@ -591,30 +579,20 @@ mod tests {
     fn tie_break_prefers_earlier_candidate() {
         let k = CostConstants::in_process();
         let e = est(1, 1e5, 1e4);
-        // On a 1×1 grid layered degenerates to pipelined: equal cost,
-        // first listed wins.
+        // On a 1×1 grid every layer count degenerates to c = 1: equal
+        // cost, first listed wins.
         let (pick, _) = k.pick_schedule(
             &e,
-            &[SchedulePlan::Pipelined, SchedulePlan::Layered { c: 2 }],
+            &[
+                SchedulePlan::Layered { c: 1 },
+                SchedulePlan::Layered { c: 2 },
+            ],
         );
-        assert_eq!(pick, SchedulePlan::Pipelined);
-    }
-
-    #[test]
-    fn eager_pays_for_the_global_sort_merge() {
-        let k = CostConstants::in_process();
-        // High-reuse shape: flops ≫ entries. Eager's n·log n sort over
-        // all intermediate triples dwarfs the per-stage merges of the
-        // overlapped schedules.
-        let e = est(3, 1e9, 1e5);
-        let eager = k.predict_phase(SchedulePlan::Eager, &e);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
-        assert!(eager > pipe * 1.5, "eager {eager} vs pipelined {pipe}");
+        assert_eq!(pick, SchedulePlan::Layered { c: 1 });
     }
 
     #[test]
     fn schedule_plan_labels() {
-        assert_eq!(SchedulePlan::Eager.label(), "eager");
         assert_eq!(SchedulePlan::Layered { c: 2 }.label(), "layered:2");
         assert_eq!(SchedulePlan::ColumnBatched.label(), "column-batched");
     }

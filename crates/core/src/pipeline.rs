@@ -163,15 +163,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Two-arg form of [`PipelineConfig::kmer_exchange`].
-    #[deprecated(note = "use kmer_exchange(KmerExchangeConfig { exchange, batch_kmers })")]
-    pub fn with_kmer_exchange(self, exchange: KmerExchange, batch_kmers: usize) -> Self {
-        self.kmer_exchange(KmerExchangeConfig {
-            exchange,
-            batch_kmers,
-        })
-    }
-
     /// Run every intra-rank threaded kernel — the local multiply of each
     /// SUMMA stage (overlap detection *and* transitive reduction), the
     /// x-drop alignment batch, the k-mer scan, and the contig-stage
@@ -205,15 +196,6 @@ impl PipelineConfig {
         self.overlap.chaining = cfg.chaining;
         self.overlap.chain_band = cfg.chain_band;
         self
-    }
-
-    /// Two-arg form of [`PipelineConfig::seed_chaining`].
-    #[deprecated(note = "use seed_chaining(ChainingConfig { chaining, chain_band })")]
-    pub fn with_seed_chaining(self, chaining: SeedChaining, chain_band: usize) -> Self {
-        self.seed_chaining(ChainingConfig {
-            chaining,
-            chain_band,
-        })
     }
 
     /// Cap this run's per-rank memory at `budget` and derive every
@@ -557,12 +539,13 @@ mod tests {
     #[test]
     fn spgemm_schedules_agree_end_to_end() {
         // The layered and auto-picked SUMMA schedules must assemble the
-        // same contig set as the pipelined default through the whole
-        // pipeline (overlap detection *and* transitive reduction), with
-        // the thread knob varied to cover the threaded materialization.
+        // same contig set as the pipelined default (layered:1) through
+        // the whole pipeline (overlap detection *and* transitive
+        // reduction), with the thread knob varied to cover the threaded
+        // materialization.
         let mut per_schedule: Vec<Vec<String>> = Vec::new();
         let cases = [
-            (SpGemmOptions::pipelined(), 1usize),
+            (SpGemmOptions::default(), 1usize),
             (SpGemmOptions::layered(2), 1),
             (SpGemmOptions::layered(3), 4),
             (SpGemmOptions::auto(), 4),

@@ -36,8 +36,9 @@ pub struct OverlapConfig {
     pub min_score_ratio: f64,
     /// Overhang tolerance when classifying (x-drop may stop early).
     pub fuzz: usize,
-    /// Schedule for the distributed `C = AAᵀ` multiply (pipelined by
-    /// default; blocked bounds memory on large inputs).
+    /// Schedule for the distributed `C = AAᵀ` multiply (pipelined
+    /// `layered:1` by default; column-batched bounds memory on large
+    /// inputs).
     pub spgemm: SpGemmOptions,
     /// Intra-rank worker threads for the x-drop alignment batch (`0`
     /// inherits the global [`elba_par::ElbaPar`] knob; its default of 1
@@ -708,85 +709,78 @@ mod tests {
 
     #[test]
     fn pipelined_overlap_stage_reports_wait_separately() {
-        // Acceptance check for the pipelined SUMMA refactor: a profiled
-        // DetectOverlap phase must (a) produce the same candidate matrix
-        // as the eager schedule and (b) attribute non-blocking wait time
+        // Acceptance check for the pipelined SUMMA: a profiled
+        // DetectOverlap phase under the default schedule must (a)
+        // produce the same candidate matrix as the reference multiply
+        // pruned after the fact and (b) attribute non-blocking wait time
         // in its own bucket, with ibcast traffic visible — proving the
         // overlap is instrumented, not just claimed.
-        let mut results: Vec<Vec<(u64, u64, u32)>> = Vec::new();
-        for eager in [false, true] {
-            let (out, profile) = elba_comm::Runner::new(Backend::InProcess)
-                .ranks(4)
-                .run_profiled(move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    let g = genome(600, 42);
-                    let reads = tiled_reads(&g, 200, 100);
-                    let n = reads.len();
-                    let store = ReadStore::from_replicated(&grid, &reads);
-                    let mut cfg = test_cfg();
-                    cfg.spgemm = if eager {
-                        elba_sparse::SpGemmOptions::eager()
-                    } else {
-                        elba_sparse::SpGemmOptions::pipelined()
-                    };
-                    let kcfg = KmerConfig {
-                        k: cfg.k,
-                        reliable_min: 2,
-                        reliable_max: 16,
-                        ..KmerConfig::default()
-                    };
-                    let table = count_kmers(&grid, &store, &kcfg);
-                    let a_triples = build_a_triples(&grid, &store, &table, &kcfg);
-                    let a = DistMat::from_triples(
-                        &grid,
-                        n,
-                        table.n_global as usize,
-                        a_triples,
-                        |acc, v: AEntry| {
-                            if v.pos < acc.pos {
-                                *acc = v;
-                            }
-                        },
-                    );
-                    let c = {
-                        let _g = grid.world().phase("DetectOverlap");
-                        candidate_matrix(&grid, &a, &cfg)
-                    };
-                    let mut triples: Vec<(u64, u64, u32)> = c
+        let (out, profile) = elba_comm::Runner::new(Backend::InProcess)
+            .ranks(4)
+            .run_profiled(|comm| {
+                let grid = ProcGrid::new(comm);
+                let g = genome(600, 42);
+                let reads = tiled_reads(&g, 200, 100);
+                let n = reads.len();
+                let store = ReadStore::from_replicated(&grid, &reads);
+                let cfg = test_cfg();
+                let kcfg = KmerConfig {
+                    k: cfg.k,
+                    reliable_min: 2,
+                    reliable_max: 16,
+                    ..KmerConfig::default()
+                };
+                let table = count_kmers(&grid, &store, &kcfg);
+                let a_triples = build_a_triples(&grid, &store, &table, &kcfg);
+                let a = DistMat::from_triples(
+                    &grid,
+                    n,
+                    table.n_global as usize,
+                    a_triples,
+                    |acc, v: AEntry| {
+                        if v.pos < acc.pos {
+                            *acc = v;
+                        }
+                    },
+                );
+                let c = {
+                    let _g = grid.world().phase("DetectOverlap");
+                    candidate_matrix(&grid, &a, &cfg)
+                };
+                let reference = a
+                    .spgemm_reference(&grid, &a.transpose(&grid), &OverlapSemiring)
+                    .prune(&grid, |r, col, v| {
+                        r < col && v.count >= cfg.min_shared_kmers
+                    });
+                [c, reference].map(|m| {
+                    let mut triples: Vec<(u64, u64, u32)> = m
                         .gather_triples(&grid)
                         .into_iter()
                         .map(|(r, s, v)| (r, s, v.count))
                         .collect();
                     triples.sort_unstable();
                     triples
-                });
-            if eager {
-                assert_eq!(
-                    profile.max_wait_secs("DetectOverlap"),
-                    0.0,
-                    "eager schedule never parks in a request wait"
-                );
-            } else {
-                assert!(
-                    profile.max_wait_secs("DetectOverlap") > 0.0,
-                    "pipelined schedule must book its request waits in the wait bucket"
-                );
-                let ibcasts: u64 = profile
-                    .rank_profiles()
-                    .iter()
-                    .filter_map(|r| r.phase("DetectOverlap"))
-                    .flat_map(|p| p.collectives.iter())
-                    .filter(|(op, _, _)| *op == "ibcast")
-                    .map(|&(_, calls, _)| calls)
-                    .sum();
-                // q = 2 stages × 2 (A and B) ibcasts per rank, 4 ranks.
-                assert_eq!(ibcasts, 16, "every SUMMA stage must go through ibcast");
-            }
-            results.push(out.into_iter().next().expect("rank 0"));
-        }
+                })
+            });
+        assert!(
+            profile.max_wait_secs("DetectOverlap") > 0.0,
+            "pipelined schedule must book its request waits in the wait bucket"
+        );
+        let ibcasts: u64 = profile
+            .rank_profiles()
+            .iter()
+            .filter_map(|r| r.phase("DetectOverlap"))
+            .flat_map(|p| p.collectives.iter())
+            .filter(|(op, _, _)| *op == "ibcast")
+            .map(|&(_, calls, _)| calls)
+            .sum();
+        // q = 2 stages × 2 (A and B) ibcasts per rank, 4 ranks.
+        assert_eq!(ibcasts, 16, "every SUMMA stage must go through ibcast");
+        let [candidates, reference] = &out[0];
+        assert!(!candidates.is_empty(), "fixture must yield candidates");
         assert_eq!(
-            results[0], results[1],
-            "pipelined and eager candidates must agree"
+            candidates, reference,
+            "pipelined and reference candidates must agree"
         );
     }
 

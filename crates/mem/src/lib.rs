@@ -125,7 +125,7 @@ impl MemBudget {
         }
     }
 
-    /// Row-batch size for the blocked local multiply inside each SUMMA
+    /// Row-batch size for the row-blocked local multiply inside each SUMMA
     /// round: sized so one batch's output rows are a small slice of the
     /// SpGEMM sub-budget under the `row_bytes_hint` heuristic (estimated
     /// bytes per accumulated output row). Unlimited budgets return

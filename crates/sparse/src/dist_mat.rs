@@ -24,9 +24,9 @@ const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
 static PINNED_COPIES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
-/// per-row accumulator in place — the row-local step of the blocked
-/// schedule's incremental accumulation. Transient memory is one merged
-/// row, not a matrix.
+/// per-row accumulator in place — the row-local step of the
+/// column-batched schedule's incremental accumulation. Transient memory
+/// is one merged row, not a matrix.
 fn merge_row<T>(
     acc: &mut (Vec<u32>, Vec<T>),
     cols: &[u32],
@@ -83,10 +83,9 @@ fn merge_row<T>(
 /// the updated accumulated-entry count plus the wall seconds spent in
 /// multiplies that genuinely fanned out to > 1 worker (the `par-s`
 /// contribution — the serial per-row merge on the rank thread is
-/// deliberately *not* counted, mirroring the eager/pipelined schedules
-/// which time only the multiply). The shared inner loop of the blocked
-/// and column-batched SUMMA schedules — they differ only in the window
-/// and in what counts as `resident`.
+/// deliberately *not* counted, mirroring the layered schedules which
+/// time only the multiply). The inner loop of the column-batched
+/// schedule; `resident` is what the round's broadcast blocks add.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
@@ -141,8 +140,7 @@ where
 /// arrays are allocated at full capacity while the row Vecs are still
 /// resident (rows free one by one as they are consumed), so assembly
 /// transiently doubles the accumulated bytes — `charge` is bumped to
-/// that peak and settled back to 1× once packed. Shared by the blocked
-/// and column-batched SUMMA schedules.
+/// that peak and settled back to 1× once packed.
 fn pack_rows_into_csr<V>(
     acc_rows: Vec<(Vec<u32>, Vec<V>)>,
     ncols: usize,
@@ -198,39 +196,11 @@ impl ParKernelClock {
     }
 }
 
-/// Which distributed SUMMA schedule [`DistMat::spgemm_with`] runs.
+/// Which distributed SUMMA schedule [`DistMat::spgemm_with`] runs. All
+/// schedules produce identical results; [`DistMat::spgemm_reference`]
+/// is the naive oracle the equivalence tests pin them against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpGemmAlgorithm {
-    /// The naive schedule: a blocking broadcast per stage, every stage's
-    /// output kept as raw triples, one global sort-merge at the end.
-    /// Highest peak memory, no communication/computation overlap; kept
-    /// as the reference baseline.
-    Eager,
-    /// Double-buffered pipeline: stage `s+1`'s A/B broadcasts are posted
-    /// (non-blocking `ibcast`) before stage `s` is computed, so the
-    /// transfer overlaps the local multiply; each stage's output is
-    /// merged into the accumulated CSR immediately, bounding live
-    /// intermediates to two stages of blocks plus the running result.
-    Pipelined,
-    /// Memory-bounded schedule: blocking broadcasts (one stage of
-    /// remote blocks resident, never two), the local multiply run over
-    /// row batches of at most [`SpGemmOptions::batch_rows`] rows, each
-    /// batch merged into a per-row accumulator immediately — no global
-    /// triple buffer and no stage-wide intermediate matrix ever exist.
-    /// Live transients beyond the growing result are one batch of
-    /// output rows and one merged row. The schedule of choice when the
-    /// result block is large relative to the memory budget.
-    Blocked,
-    /// ELBA's full batched algorithm: the *output* is split into column
-    /// batches sized from [`SpGemmOptions::mem_budget`] via a cheap
-    /// flop/nnz estimate pass (structure-only broadcasts), and one
-    /// pipelined, row-blocked SUMMA round runs per batch over the
-    /// `ibcast` pipeline. The accumulated batch block plus the resident
-    /// broadcast blocks never exceed the budget (each batch's flop-count
-    /// upper-bounds its accumulator), so overlap detection's memory is
-    /// bounded regardless of how dense `C = AAᵀ` gets — at the price of
-    /// re-broadcasting the input blocks once per round.
-    ColumnBatched,
     /// Communication-avoiding layered SUMMA (the one-process-per-rank
     /// shape of 2.5D/Solomonik–Demmel grids): the `q` stages are split
     /// into `c` contiguous slices, each slice's A/B broadcasts are
@@ -242,19 +212,38 @@ pub enum SpGemmAlgorithm {
     /// allreduce tree when all layers share a rank. Trades `c` resident
     /// partial results (honestly charged to the memory tracker) for
     /// slice-deep broadcast overlap and strictly less merge traffic
-    /// than the per-stage binary merges of [`SpGemmAlgorithm::Pipelined`].
-    /// Wire bytes are identical to every other schedule (same q stage
-    /// broadcasts; the byte model is sacred). `c = 1` *is* the
-    /// pipelined path; `c > q` clamps to `q` with a warning.
+    /// than per-stage binary merges. Wire bytes are identical to
+    /// [`DistMat::spgemm_reference`]'s at every `c` (same q stage
+    /// broadcasts; the byte model is sacred). `c > q` clamps to `q` with
+    /// a warning.
+    ///
+    /// `c = 1` is the double-buffered pipeline and the default: stage
+    /// `s+1`'s A/B broadcasts are posted (non-blocking `ibcast`) before
+    /// stage `s` is computed, so the transfer overlaps the local
+    /// multiply, and each stage's output is merged into the accumulated
+    /// CSR immediately, bounding live intermediates to two stages of
+    /// blocks plus the running result.
     Layered {
         /// Layer count: how many slices the stages split into.
         c: usize,
     },
+    /// ELBA's full batched algorithm: the *output* is split into column
+    /// batches sized from [`SpGemmOptions::mem_budget`] via a cheap
+    /// flop/nnz estimate pass (structure-only broadcasts), and one
+    /// pipelined, row-blocked SUMMA round runs per batch over the
+    /// `ibcast` pipeline. The accumulated batch block plus the resident
+    /// broadcast blocks never exceed the budget (each batch's flop-count
+    /// upper-bounds its accumulator), so overlap detection's memory is
+    /// bounded regardless of how dense `C = AAᵀ` gets — at the price of
+    /// re-broadcasting the input blocks once per round. A budget too
+    /// tight for the prefetch pipeline falls back to blocking
+    /// broadcasts with one stage resident.
+    ColumnBatched,
     /// Model-driven schedule selection: run the ColumnBatched structure
     /// pass once, reduce the flop/nnz estimates grid-wide, and let
     /// [`elba_comm::CostConstants::predict_phase`] pick the cheapest
-    /// feasible schedule (eager / pipelined / column-batched / layered)
-    /// at assemble time. Deterministic across ranks: every input to the
+    /// feasible schedule (layered at each `c` / column-batched) at
+    /// assemble time. Deterministic across ranks: every input to the
     /// prediction is allreduced and the calibration constants are
     /// fixed, so all ranks reach the same pick and the collective
     /// schedule stays synchronized. The choice is observable via
@@ -267,10 +256,10 @@ pub enum SpGemmAlgorithm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpGemmOptions {
     pub algorithm: SpGemmAlgorithm,
-    /// Row-batch size for [`SpGemmAlgorithm::Blocked`] and the per-round
-    /// multiply of [`SpGemmAlgorithm::ColumnBatched`]; ignored by the
-    /// other schedules. Smaller batches mean smaller live transients
-    /// (the batch's output rows) at slightly more per-batch overhead.
+    /// Row-batch size for the per-round multiply of
+    /// [`SpGemmAlgorithm::ColumnBatched`]; ignored by the other
+    /// schedules. Smaller batches mean smaller live transients (the
+    /// batch's output rows) at slightly more per-batch overhead.
     pub batch_rows: usize,
     /// Per-rank transient byte cap for [`SpGemmAlgorithm::ColumnBatched`]
     /// (broadcast blocks + batch accumulator); `None` runs a single
@@ -286,9 +275,10 @@ pub struct SpGemmOptions {
 }
 
 impl Default for SpGemmOptions {
+    /// The pipelined schedule, `Layered { c: 1 }`.
     fn default() -> Self {
         SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined,
+            algorithm: SpGemmAlgorithm::Layered { c: 1 },
             batch_rows: 1024,
             mem_budget: None,
             threads: 0,
@@ -297,29 +287,6 @@ impl Default for SpGemmOptions {
 }
 
 impl SpGemmOptions {
-    pub fn eager() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Eager,
-            ..Self::default()
-        }
-    }
-
-    pub fn pipelined() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined,
-            ..Self::default()
-        }
-    }
-
-    pub fn blocked(batch_rows: usize) -> Self {
-        assert!(batch_rows > 0, "blocked SpGEMM needs a positive batch size");
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Blocked,
-            batch_rows,
-            ..Self::default()
-        }
-    }
-
     /// Use `threads` intra-rank workers for the local multiply of every
     /// SUMMA stage (`0` inherits the global knob).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -344,7 +311,7 @@ impl SpGemmOptions {
     }
 
     /// The layered (2.5D-style) schedule with `c` layers. `c = 1` is the
-    /// pipelined schedule; `c` greater than the grid's stage count
+    /// pipelined default; `c` greater than the grid's stage count
     /// clamps at run time.
     pub fn layered(c: usize) -> Self {
         assert!(c >= 1, "layered SpGEMM needs at least one layer");
@@ -371,11 +338,8 @@ static LAST_AUTO_PICK: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomi
 
 fn encode_pick(algorithm: SpGemmAlgorithm) -> usize {
     match algorithm {
-        SpGemmAlgorithm::Eager => 1,
-        SpGemmAlgorithm::Pipelined => 2,
-        SpGemmAlgorithm::Blocked => 3,
-        SpGemmAlgorithm::ColumnBatched => 4,
-        SpGemmAlgorithm::Layered { c } => 5 + c,
+        SpGemmAlgorithm::ColumnBatched => 1,
+        SpGemmAlgorithm::Layered { c } => 1 + c,
         SpGemmAlgorithm::Auto => unreachable!("auto resolves to a concrete schedule"),
     }
 }
@@ -386,20 +350,14 @@ fn encode_pick(algorithm: SpGemmAlgorithm) -> usize {
 pub fn last_auto_spgemm_pick() -> Option<SpGemmAlgorithm> {
     match LAST_AUTO_PICK.load(std::sync::atomic::Ordering::Relaxed) {
         0 => None,
-        1 => Some(SpGemmAlgorithm::Eager),
-        2 => Some(SpGemmAlgorithm::Pipelined),
-        3 => Some(SpGemmAlgorithm::Blocked),
-        4 => Some(SpGemmAlgorithm::ColumnBatched),
-        n => Some(SpGemmAlgorithm::Layered { c: n - 5 }),
+        1 => Some(SpGemmAlgorithm::ColumnBatched),
+        n => Some(SpGemmAlgorithm::Layered { c: n - 1 }),
     }
 }
 
 /// Short CLI/bench label for a schedule ("layered:2", "auto", ...).
 pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> String {
     match algorithm {
-        SpGemmAlgorithm::Eager => "eager".into(),
-        SpGemmAlgorithm::Pipelined => "pipelined".into(),
-        SpGemmAlgorithm::Blocked => "blocked".into(),
         SpGemmAlgorithm::ColumnBatched => "column-batched".into(),
         SpGemmAlgorithm::Layered { c } => format!("layered:{c}"),
         SpGemmAlgorithm::Auto => "auto".into(),
@@ -732,7 +690,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// along grid rows and block row `s` of `B` along grid columns; each
     /// rank multiplies the pair locally and accumulates its `C` block.
     ///
-    /// Runs the default schedule ([`SpGemmAlgorithm::Pipelined`]); use
+    /// Runs the default schedule (pipelined, `Layered { c: 1 }`); use
     /// [`DistMat::spgemm_with`] to pick a schedule explicitly.
     pub fn spgemm<S, U>(&self, grid: &ProcGrid, other: &DistMat<U>, semiring: &S) -> DistMat<S::Out>
     where
@@ -766,11 +724,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let opts = self.resolved_options(grid, other, opts, entry_bytes);
         let threads = elba_par::ElbaPar::resolve(opts.threads);
         let local = match opts.algorithm {
-            SpGemmAlgorithm::Eager => self.summa_eager(grid, other, semiring, threads),
-            SpGemmAlgorithm::Pipelined => self.summa_pipelined(grid, other, semiring, threads),
-            SpGemmAlgorithm::Blocked => {
-                self.summa_blocked(grid, other, semiring, opts.batch_rows.max(1), threads)
-            }
             SpGemmAlgorithm::ColumnBatched => self.summa_column_batched(
                 grid,
                 other,
@@ -782,8 +735,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             ),
             SpGemmAlgorithm::Layered { c } => {
                 if c <= 1 {
-                    // c=1 *is* the pipelined schedule, not a lookalike:
-                    // identical code path, identical profile numbers.
                     self.summa_pipelined(grid, other, semiring, threads)
                 } else {
                     self.summa_layered(grid, other, semiring, c, threads)
@@ -850,71 +801,56 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
     }
 
-    /// Naive SUMMA: blocking broadcasts, global triple accumulation, one
-    /// final sort-merge. Peak memory holds every stage's intermediate
-    /// triples at once.
-    fn summa_eager<S, U>(
+    /// Reference SUMMA, the oracle every schedule is tested against: a
+    /// blocking broadcast per stage, a serial local multiply, every
+    /// stage's output kept as raw triples and one global sort-merge at
+    /// the end. It posts the same `q` stage broadcasts down the same
+    /// trees as the schedules, so its profiled wire bytes are theirs
+    /// too. Not selectable through [`SpGemmOptions`]: it has no overlap,
+    /// the highest peak memory, and charges nothing to the memory
+    /// tracker. Collective.
+    pub fn spgemm_reference<S, U>(
         &self,
         grid: &ProcGrid,
         other: &DistMat<U>,
         semiring: &S,
-        threads: usize,
-    ) -> Csr<S::Out>
+    ) -> DistMat<S::Out>
     where
-        S: Semiring<A = T, B = U> + Sync,
+        S: Semiring<A = T, B = U>,
         U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
+        S::Out: Clone + CommMsg,
     {
-        let q = grid.q();
-        let mut charge = grid.world().mem_charge(0);
+        assert_eq!(
+            self.col_layout, other.row_layout,
+            "inner dimension layouts must agree for SUMMA"
+        );
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
-        let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
-        let mut par = ParKernelClock::new();
-        for s in 0..q {
+        for s in 0..grid.q() {
             let a_block = grid
                 .row()
                 .bcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
             let b_block = grid
                 .col()
                 .bcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-            // Stage blocks charge through the shared (ptr-keyed) path:
-            // one charge per rank per block, so the owner's own resident
-            // matrix is never counted twice.
-            let _a_res = grid
-                .world()
-                .mem_charge_shared(&a_block, a_block.heap_bytes());
-            let _b_res = grid
-                .world()
-                .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let stage = {
-                let started = std::time::Instant::now();
-                let mut batcher =
-                    SpGemmBatcher::new(&a_block, &b_block, semiring).with_threads(threads);
-                let nrows = a_block.nrows();
-                let stage = batcher.multiply_rows_par(0..nrows, 0..b_block.ncols() as u32);
-                // Per-worker SPA scratch (0 when serial): a transient
-                // spike on top of whatever is currently charged.
-                grid.world().record_mem_transient(batcher.scratch_bytes());
-                if batcher.last_run_parallel() {
-                    par.add(started.elapsed().as_secs_f64());
-                }
-                stage
-            };
-            acc.extend(stage.into_triples());
-            charge.set(acc.len() * triple_bytes);
+            acc.extend(crate::spgemm::spgemm(&a_block, &b_block, semiring).into_triples());
         }
-        par.book(grid);
         let row_range = self.row_layout.block_range(grid.myrow());
         let col_range = other.col_layout.block_range(grid.mycol());
-        Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
+        let local = Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
             semiring.add(a, v)
-        })
+        });
+        DistMat {
+            row_layout: self.row_layout,
+            col_layout: other.col_layout,
+            local: Arc::new(local),
+        }
     }
 
-    /// Double-buffered SUMMA: the broadcasts for stage `s+1` are posted
-    /// before stage `s` is multiplied, so (as in ELBA's overlap-detection
-    /// multiply) communication for the next stage flows while this stage
-    /// computes; each stage folds into the accumulator CSR immediately.
+    /// Double-buffered SUMMA, [`SpGemmAlgorithm::Layered`] at `c = 1`:
+    /// the broadcasts for stage `s+1` are posted before stage `s` is
+    /// multiplied, so (as in ELBA's overlap-detection multiply)
+    /// communication for the next stage flows while this stage computes;
+    /// each stage folds into the accumulator CSR immediately.
     fn summa_pipelined<S, U>(
         &self,
         grid: &ProcGrid,
@@ -987,10 +923,10 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// memory cost, kept visible to the tracker — and one k-way
     /// [`crate::spgemm::csr_kmerge`] combines them in slice order at the
     /// end. The combine is local: on one rank the 2.5D allreduce tree
-    /// has nothing to ship, so wire bytes stay byte-identical to the
-    /// eager schedule (same q stage broadcasts, same trees); the
-    /// bandwidth-vs-memory trade that layered grids buy on real
-    /// machines lives in [`elba_comm::CostConstants::predict_phase`]'s
+    /// has nothing to ship, so wire bytes stay byte-identical to
+    /// [`DistMat::spgemm_reference`] (same q stage broadcasts, same
+    /// trees); the bandwidth-vs-memory trade that layered grids buy on
+    /// real machines lives in [`elba_comm::CostConstants::predict_phase`]'s
     /// formulas, which is what [`SpGemmAlgorithm::Auto`] prices.
     ///
     /// Callers dispatch `c <= 1` to [`DistMat::summa_pipelined`]; `c > q`
@@ -1106,79 +1042,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let combined = crate::spgemm::csr_kmerge(partials, |a, v| semiring.add(a, v));
         charge.set(combined.heap_bytes());
         combined
-    }
-
-    /// Memory-bounded SUMMA: blocking broadcasts (only one stage of
-    /// remote blocks resident) and a per-row accumulator that batches
-    /// merge directly into — no stage-wide CSR or triple buffer ever
-    /// exists. Live intermediates beyond the accumulated result are one
-    /// batch of output rows (≤ `batch_rows`), one merged row, and the
-    /// multiply's O(block cols) dense accumulator arrays; the final CSR
-    /// is assembled once after the last stage.
-    fn summa_blocked<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        batch_rows: usize,
-        threads: usize,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let q = grid.q();
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
-        let nrows = row_range.len();
-        let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>();
-        let mut charge = grid.world().mem_charge(0);
-        let mut acc_entries = 0usize;
-        let mut par = ParKernelClock::new();
-        // Accumulate per row (sorted column/value pairs) so each batch
-        // merges in place, touching only its own row window.
-        let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
-            (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
-        for s in 0..q {
-            let a_block = grid
-                .row()
-                .bcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-            let b_block = grid
-                .col()
-                .bcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-            // Stage blocks charge through the once-per-rank shared path;
-            // `merge_stage_rows` only tracks the accumulator on top.
-            let _a_res = grid
-                .world()
-                .mem_charge_shared(&a_block, a_block.heap_bytes());
-            let _b_res = grid
-                .world()
-                .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let (entries, par_secs) = merge_stage_rows(
-                &a_block,
-                &b_block,
-                semiring,
-                0..b_block.ncols() as u32,
-                batch_rows,
-                threads,
-                &mut acc_rows,
-                acc_entries,
-                entry_bytes,
-                0,
-                &mut charge,
-            );
-            acc_entries = entries;
-            par.add(par_secs);
-        }
-        par.book(grid);
-        pack_rows_into_csr(
-            acc_rows,
-            col_range.len(),
-            acc_entries,
-            entry_bytes,
-            &mut charge,
-        )
     }
 
     /// The ColumnBatched structure/estimate pass, shared with the Auto
@@ -1297,19 +1160,15 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             mem_budget: opts.mem_budget,
         };
         // Preference order breaks exact ties (degenerate grids where
-        // layered collapses into pipelined). ColumnBatched is always
+        // layered collapses into c = 1). ColumnBatched is always
         // feasible, so the list can never come back empty-handed.
-        let mut candidates = vec![elba_comm::SchedulePlan::Pipelined];
-        for c in 2..=q.min(4) {
-            candidates.push(elba_comm::SchedulePlan::Layered { c });
-        }
+        let mut candidates: Vec<_> = (1..=q.clamp(1, 4))
+            .map(|c| elba_comm::SchedulePlan::Layered { c })
+            .collect();
         candidates.push(elba_comm::SchedulePlan::ColumnBatched);
-        candidates.push(elba_comm::SchedulePlan::Eager);
         let constants = elba_comm::CostConstants::in_process();
         let (plan, predicted) = constants.pick_schedule(&est, &candidates);
         let algorithm = match plan {
-            elba_comm::SchedulePlan::Eager => SpGemmAlgorithm::Eager,
-            elba_comm::SchedulePlan::Pipelined => SpGemmAlgorithm::Pipelined,
             elba_comm::SchedulePlan::ColumnBatched => SpGemmAlgorithm::ColumnBatched,
             elba_comm::SchedulePlan::Layered { c } => SpGemmAlgorithm::Layered { c },
         };
@@ -1765,12 +1624,15 @@ mod tests {
                 };
                 let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
                 let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                let c = a.spgemm(&grid, &b, &PlusTimes);
                 let want = dense_from_triples(n, k, &a_triples)
                     .matmul(&dense_from_triples(k, m, &b_triples));
-                let got_triples = c.gather_triples(&grid);
-                let got = dense_from_triples(n, m, &got_triples);
-                got == want
+                // The default schedule and the reference oracle alike.
+                [
+                    a.spgemm(&grid, &b, &PlusTimes),
+                    a.spgemm_reference(&grid, &b, &PlusTimes),
+                ]
+                .iter()
+                .all(|c| dense_from_triples(n, m, &c.gather_triples(&grid)) == want)
             });
             assert!(ok.iter().all(|&x| x), "p={p}");
         }
@@ -1780,11 +1642,6 @@ mod tests {
     fn all_schedules_match_dense_reference() {
         for p in [1usize, 4, 9] {
             for opts in [
-                SpGemmOptions::eager(),
-                SpGemmOptions::pipelined(),
-                SpGemmOptions::blocked(1),
-                SpGemmOptions::blocked(3),
-                SpGemmOptions::blocked(1024),
                 SpGemmOptions::column_batched(1024, None),
                 SpGemmOptions::column_batched(2, Some(1)),
                 SpGemmOptions::column_batched(7, Some(400)),
@@ -1857,7 +1714,8 @@ mod tests {
         // provably stays under it. The budget is computed from the real
         // retained sizes: 4/3 × (pruned C + two resident broadcast
         // stages) — the packer's feasibility bound — plus slack.
-        let run = |opts: SpGemmOptions| {
+        // `None` runs the reference multiply and prunes afterwards.
+        let run = |opts: Option<SpGemmOptions>| {
             Runner::new(Backend::InProcess)
                 .ranks(4)
                 .run_profiled(move |comm| {
@@ -1872,11 +1730,15 @@ mod tests {
                     };
                     let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
                     let at = a.transpose(&grid);
+                    let keep = |r: u64, col: u64, v: &f64| r < col && *v >= 6.0;
                     let c = {
                         let _g = grid.world().phase("spgemm");
-                        a.spgemm_pruned_with(&grid, &at, &PlusTimes, &opts, |r, col, v| {
-                            r < col && *v >= 6.0
-                        })
+                        match &opts {
+                            Some(opts) => a.spgemm_pruned_with(&grid, &at, &PlusTimes, opts, keep),
+                            None => a
+                                .spgemm_reference(&grid, &at, &PlusTimes)
+                                .prune(&grid, keep),
+                        }
                     };
                     let stage_bytes = a.heap_bytes() + at.heap_bytes();
                     let mut got = c.gather_triples(&grid);
@@ -1884,7 +1746,7 @@ mod tests {
                     (got, c.heap_bytes(), stage_bytes)
                 })
         };
-        let (outputs, unbatched) = run(SpGemmOptions::column_batched(64, None));
+        let (outputs, unbatched) = run(Some(SpGemmOptions::column_batched(64, None)));
         let hw_single = unbatched.max_mem_hw("spgemm");
         let max_c = outputs.iter().map(|(_, cb, _)| *cb).max().expect("ranks");
         let max_stage = outputs.iter().map(|(_, _, sb)| *sb).max().expect("ranks");
@@ -1894,21 +1756,21 @@ mod tests {
             "workload too small to exercise the bound: single-round hw \
              {hw_single} vs budget {budget}"
         );
-        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(64, Some(budget)));
+        let (batched_outputs, batched) = run(Some(SpGemmOptions::column_batched(64, Some(budget))));
         let hw_batched = batched.max_mem_hw("spgemm");
         assert!(
             hw_batched <= budget,
             "column-batched hw {hw_batched} exceeds budget {budget}"
         );
-        // The eager schedule pruning after the fact is the reference.
-        let (eager_outputs, _) = run(SpGemmOptions::eager());
+        // The reference multiply pruning after the fact is the oracle.
+        let (reference_outputs, _) = run(None);
         assert_eq!(
             outputs[0].0, batched_outputs[0].0,
             "batching must not change the pruned product"
         );
         assert_eq!(
-            outputs[0].0, eager_outputs[0].0,
-            "fused prune must equal prune-after-eager"
+            outputs[0].0, reference_outputs[0].0,
+            "fused prune must equal prune-after-reference"
         );
     }
 

@@ -1,16 +1,16 @@
 //! Property pins for the layered (2.5D-style) SUMMA schedule:
 //!
-//! * output triples byte-identical to the eager reference across
-//!   1×1 / 2×2 / 3×3 grids × c ∈ {1, 2, 3} × thread counts — including
-//!   the uneven-slice case (q = 3, c = 2, where c ∤ q),
-//! * per-rank profiled *wire bytes* identical to eager on every grid:
-//!   the layered schedule posts the same q stage broadcasts down the
-//!   same trees, the combine is local (wire-byte model stays sacred),
-//! * c = 1 is *exactly* the pipelined path — same collectives, same
-//!   per-op call and byte counts, not merely the same totals,
+//! * output triples byte-identical to [`DistMat::spgemm_reference`]
+//!   across 1×1 / 2×2 / 3×3 grids × c ∈ {1, 2, 3} × thread counts —
+//!   including the uneven-slice case (q = 3, c = 2, where c ∤ q),
+//! * per-rank profiled *wire bytes* identical to the reference on every
+//!   grid: the layered schedule posts the same q stage broadcasts down
+//!   the same trees, the combine is local (wire-byte model stays
+//!   sacred); the column-batched schedule, budgeted or not, is held to
+//!   the same triples,
 //! * c > q clamps instead of deadlocking or dropping stages,
 //! * `SpGemmAlgorithm::Auto` resolves to a concrete schedule, matches
-//!   the eager output, and reports its pick.
+//!   the reference output, and reports its pick.
 
 use elba_comm::{Backend, Runner};
 use elba_comm::{ProcGrid, RunProfile};
@@ -33,14 +33,14 @@ fn fixture_triples(n: usize, k: usize) -> Vec<(u64, u64, f64)> {
         .collect()
 }
 
-/// Run `A · Aᵀ` on `p` ranks under `opts`, profiled; returns the sorted
-/// gathered triples and the run profile (wire bytes live in the
-/// "spgemm" phase).
+/// Run `A · Aᵀ` on `p` ranks under `opts` (`None` runs the reference
+/// multiply), profiled; returns the sorted gathered triples and the run
+/// profile (wire bytes live in the "spgemm" phase).
 fn run_profiled(
     p: usize,
     n: usize,
     k: usize,
-    opts: SpGemmOptions,
+    opts: Option<SpGemmOptions>,
 ) -> (Vec<(u64, u64, f64)>, RunProfile) {
     let (mut results, profile) =
         Runner::new(Backend::InProcess)
@@ -55,8 +55,11 @@ fn run_profiled(
                 let a = DistMat::from_triples(&grid, n, k, mine, |acc, v| *acc += v);
                 let at = a.transpose(&grid);
                 let _guard = grid.world().phase("spgemm");
-                a.spgemm_with(&grid, &at, &PlusTimes, &opts)
-                    .gather_triples(&grid)
+                match &opts {
+                    Some(opts) => a.spgemm_with(&grid, &at, &PlusTimes, opts),
+                    None => a.spgemm_reference(&grid, &at, &PlusTimes),
+                }
+                .gather_triples(&grid)
             });
     let mut triples = results.remove(0);
     triples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -75,13 +78,13 @@ fn spgemm_bytes_per_rank(profile: &RunProfile) -> Vec<u64> {
 }
 
 #[test]
-fn layered_matches_eager_triples_and_wire_bytes_on_every_grid() {
+fn layered_matches_reference_triples_and_wire_bytes_on_every_grid() {
     for p in [1usize, 4, 9] {
         let (n, k) = (21, 17);
-        let (eager_triples, eager_profile) = run_profiled(p, n, k, SpGemmOptions::eager());
-        let eager_bytes = spgemm_bytes_per_rank(&eager_profile);
+        let (ref_triples, ref_profile) = run_profiled(p, n, k, None);
+        let ref_bytes = spgemm_bytes_per_rank(&ref_profile);
         assert!(
-            eager_triples.iter().any(|&(_, _, v)| v != 0.0),
+            ref_triples.iter().any(|&(_, _, v)| v != 0.0),
             "fixture must produce a non-trivial product"
         );
         // c=2 on the 3×3 grid is the uneven split (slices of 2 and 1
@@ -89,47 +92,28 @@ fn layered_matches_eager_triples_and_wire_bytes_on_every_grid() {
         for c in [1usize, 2, 3] {
             for threads in [1usize, 4] {
                 let opts = SpGemmOptions::layered(c).with_threads(threads);
-                let (triples, profile) = run_profiled(p, n, k, opts);
+                let (triples, profile) = run_profiled(p, n, k, Some(opts));
                 assert_eq!(
-                    triples, eager_triples,
-                    "layered(c={c}, t={threads}) output != eager on p={p}"
+                    triples, ref_triples,
+                    "layered(c={c}, t={threads}) output != reference on p={p}"
                 );
                 assert_eq!(
                     spgemm_bytes_per_rank(&profile),
-                    eager_bytes,
-                    "layered(c={c}, t={threads}) wire bytes != eager on p={p}"
+                    ref_bytes,
+                    "layered(c={c}, t={threads}) wire bytes != reference on p={p}"
                 );
             }
         }
-    }
-}
-
-#[test]
-fn layered_c1_profile_is_exactly_pipelined() {
-    for p in [1usize, 4, 9] {
-        let (pipe_triples, pipe_profile) = run_profiled(p, 21, 17, SpGemmOptions::pipelined());
-        let (lay_triples, lay_profile) = run_profiled(p, 21, 17, SpGemmOptions::layered(1));
-        assert_eq!(lay_triples, pipe_triples, "p={p}");
-        // Not just byte totals: identical op names, call counts, and
-        // per-op bytes on every rank — c=1 takes the very same code
-        // path, so the profiles must be indistinguishable.
-        for (rank, (pipe_rank, lay_rank)) in pipe_profile
-            .rank_profiles()
-            .iter()
-            .zip(lay_profile.rank_profiles())
-            .enumerate()
-        {
-            let pipe_phase = pipe_rank.phase("spgemm").expect("phase recorded");
-            let lay_phase = lay_rank.phase("spgemm").expect("phase recorded");
+        // Column batching adds grid-wide round agreement (allreduces)
+        // and, under a budget, a structure pass and per-round
+        // re-broadcasts, so only its triples are held to the reference.
+        for budget in [None, Some(512)] {
+            let opts = SpGemmOptions::column_batched(4, budget);
+            let (batched, _) = run_profiled(p, n, k, Some(opts));
             assert_eq!(
-                lay_phase.collectives, pipe_phase.collectives,
-                "rank {rank} on p={p}: layered(1) collectives diverge from pipelined"
+                batched, ref_triples,
+                "column_batched(budget={budget:?}) != reference on p={p}"
             );
-            assert_eq!(
-                lay_phase.p2p_bytes, pipe_phase.p2p_bytes,
-                "rank {rank} p={p}"
-            );
-            assert_eq!(lay_phase.p2p_msgs, pipe_phase.p2p_msgs, "rank {rank} p={p}");
         }
     }
 }
@@ -137,20 +121,20 @@ fn layered_c1_profile_is_exactly_pipelined() {
 #[test]
 fn layered_clamps_oversized_layer_counts() {
     // c far beyond the stage count must clamp to one stage per layer
-    // (warning on stderr) and still match eager exactly.
+    // (warning on stderr) and still match the reference exactly.
     for p in [1usize, 4, 9] {
-        let (eager_triples, _) = run_profiled(p, 15, 12, SpGemmOptions::eager());
-        let (clamped, _) = run_profiled(p, 15, 12, SpGemmOptions::layered(64));
-        assert_eq!(clamped, eager_triples, "layered(64) != eager on p={p}");
+        let (ref_triples, _) = run_profiled(p, 15, 12, None);
+        let (clamped, _) = run_profiled(p, 15, 12, Some(SpGemmOptions::layered(64)));
+        assert_eq!(clamped, ref_triples, "layered(64) != reference on p={p}");
     }
 }
 
 #[test]
-fn auto_resolves_matches_eager_and_reports_its_pick() {
+fn auto_resolves_matches_reference_and_reports_its_pick() {
     for p in [1usize, 4, 9] {
-        let (eager_triples, _) = run_profiled(p, 21, 17, SpGemmOptions::eager());
-        let (auto_triples, _) = run_profiled(p, 21, 17, SpGemmOptions::auto());
-        assert_eq!(auto_triples, eager_triples, "auto != eager on p={p}");
+        let (ref_triples, _) = run_profiled(p, 21, 17, None);
+        let (auto_triples, _) = run_profiled(p, 21, 17, Some(SpGemmOptions::auto()));
+        assert_eq!(auto_triples, ref_triples, "auto != reference on p={p}");
         let pick = last_auto_spgemm_pick().expect("auto must record its pick");
         assert_ne!(
             pick,

@@ -76,7 +76,7 @@ proptest! {
         let serial = multiply(&a, &b, &PlusTimes, 1, 0..n, 0..m as u32);
         let par = multiply(&a, &b, &PlusTimes, threads, 0..n, 0..m as u32);
         prop_assert_eq!(&serial, &par);
-        // Row/column window (the blocked and column-batched kernels).
+        // Row/column window (the column-batched kernel).
         let (w0, w1) = window;
         let rows = (w0 % n)..n;
         let cols = ((w1 % m) as u32)..(m as u32);
@@ -116,16 +116,15 @@ proptest! {
         m in 1usize..24,
         a_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
         b_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
-        algo_idx in 0usize..4,
+        algo_idx in 0usize..3,
     ) {
         let p = [1usize, 4, 9][p_idx];
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
         let base = match algo_idx {
-            0 => SpGemmOptions::eager(),
-            1 => SpGemmOptions::pipelined(),
-            2 => SpGemmOptions::blocked(3),
-            _ => SpGemmOptions::column_batched(4, Some(512)),
+            0 => SpGemmOptions::layered(1),
+            1 => SpGemmOptions::layered(2),
+            _ => SpGemmOptions::column_batched(3, Some(512)),
         };
         let mut runs = Vec::new();
         for threads in [1usize, 4] {

@@ -1,9 +1,8 @@
-//! Property tests pinning the SUMMA schedule equivalence: the pipelined,
-//! blocked, column-batched, layered, and auto-picked SpGEMM paths must
-//! produce results *identical* to the eager reference — same structure
-//! including
-//! explicit zeros, same values — on random matrices across 1×1, 2×2,
-//! and 3×3 process grids. The schedules may only differ in overlap and
+//! Property tests pinning the SUMMA schedule equivalence: the layered
+//! (pipelined at c = 1), column-batched, and auto-picked SpGEMM paths
+//! must produce results *identical* to [`DistMat::spgemm_reference`] —
+//! same structure including explicit zeros, same values — on random
+//! matrices across 1×1, 2×2, and 3×3 process grids. The schedules may only differ in overlap and
 //! peak memory, never output; tiny byte budgets force the column-batched
 //! schedule through many single-column rounds, the worst case for a
 //! concatenation bug.
@@ -27,8 +26,9 @@ fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Vec
         .collect()
 }
 
-/// Run `A ⊗ B` on a p-rank grid under `opts`, returning the gathered,
-/// sorted triple list (exact structure, explicit zeros included).
+/// Run `A ⊗ B` on a p-rank grid under `opts` (`None` runs the reference
+/// multiply), returning the gathered, sorted triple list (exact
+/// structure, explicit zeros included).
 fn run_schedule(
     p: usize,
     n: usize,
@@ -36,7 +36,7 @@ fn run_schedule(
     m: usize,
     a_triples: &[(u64, u64, f64)],
     b_triples: &[(u64, u64, f64)],
-    opts: SpGemmOptions,
+    opts: Option<SpGemmOptions>,
 ) -> Vec<(u64, u64, f64)> {
     let (at, bt) = (a_triples.to_vec(), b_triples.to_vec());
     let mut got = Runner::new(Backend::InProcess)
@@ -55,8 +55,11 @@ fn run_schedule(
             };
             let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
             let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-            a.spgemm_with(&grid, &b, &PlusTimes, &opts)
-                .gather_triples(&grid)
+            match &opts {
+                Some(opts) => a.spgemm_with(&grid, &b, &PlusTimes, opts),
+                None => a.spgemm_reference(&grid, &b, &PlusTimes),
+            }
+            .gather_triples(&grid)
         })
         .remove(0);
     got.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -67,7 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     #[test]
-    fn pipelined_and_blocked_equal_eager(
+    fn schedules_equal_reference(
         p_idx in 0usize..3,
         n in 1usize..14,
         k in 1usize..14,
@@ -82,30 +85,19 @@ proptest! {
         let budget = (budget_raw > 0).then_some(budget_raw); // 0 = unbudgeted
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
-        let eager =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::eager());
-        let pipelined =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::pipelined());
-        let blocked =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::blocked(batch));
-        let column_batched = run_schedule(
-            p, n, k, m, &a_triples, &b_triples,
-            SpGemmOptions::column_batched(batch, budget),
-        );
-        prop_assert_eq!(&pipelined, &eager, "pipelined != eager (p={})", p);
-        prop_assert_eq!(&blocked, &eager, "blocked(batch={}) != eager (p={})", batch, p);
+        let run = |opts| run_schedule(p, n, k, m, &a_triples, &b_triples, opts);
+        let reference = run(None);
+        let column_batched = run(Some(SpGemmOptions::column_batched(batch, budget)));
         prop_assert_eq!(
-            &column_batched, &eager,
-            "column_batched(batch={}, budget={:?}) != eager (p={})", batch, budget, p
+            &column_batched, &reference,
+            "column_batched(batch={}, budget={:?}) != reference (p={})", batch, budget, p
         );
         // c sweeps past q on every grid here, exercising the clamp; c=1
-        // is the pipelined dispatch.
-        let layered =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::layered(c));
-        prop_assert_eq!(&layered, &eager, "layered(c={}) != eager (p={})", c, p);
-        let auto =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::auto());
-        prop_assert_eq!(&auto, &eager, "auto != eager (p={})", p);
+        // is the pipelined path.
+        let layered = run(Some(SpGemmOptions::layered(c)));
+        prop_assert_eq!(&layered, &reference, "layered(c={}) != reference (p={})", c, p);
+        let auto = run(Some(SpGemmOptions::auto()));
+        prop_assert_eq!(&auto, &reference, "auto != reference (p={})", p);
     }
 
     #[test]
@@ -118,27 +110,30 @@ proptest! {
         // The overlap-detection shape: square output from A · Aᵀ.
         let p = [1usize, 4, 9][p_idx];
         let triples = to_triples(n, k, &entries);
-        let run = |opts: SpGemmOptions| {
+        let run = |opts: Option<SpGemmOptions>| {
             let t = triples.clone();
             let mut got = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                 let grid = ProcGrid::new(comm);
                 let mine = if grid.world().rank() == 0 { t.clone() } else { Vec::new() };
                 let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
                 let at = a.transpose(&grid);
-                a.spgemm_with(&grid, &at, &PlusTimes, &opts).gather_triples(&grid)
+                match &opts {
+                    Some(opts) => a.spgemm_with(&grid, &at, &PlusTimes, opts),
+                    None => a.spgemm_reference(&grid, &at, &PlusTimes),
+                }
+                .gather_triples(&grid)
             })
             .remove(0);
             got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
             got
         };
-        let eager = run(SpGemmOptions::eager());
-        prop_assert_eq!(&run(SpGemmOptions::pipelined()), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(2, Some(256))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(1024, None)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(3)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::auto()), &eager);
+        let reference = run(None);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(1))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::column_batched(2, Some(256)))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::column_batched(1024, None))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(2))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(3))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::auto())), &reference);
     }
 
     #[test]
@@ -157,25 +152,27 @@ proptest! {
             }
             map.into_iter().map(|((r, c), v)| (r as u64, c as u64, v)).collect()
         };
-        let run = |opts: SpGemmOptions| {
+        let run = |opts: Option<SpGemmOptions>| {
             let t = triples.clone();
             let mut got = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                 let grid = ProcGrid::new(comm);
                 let mine = if grid.world().rank() == 0 { t.clone() } else { Vec::new() };
                 let a = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
-                a.spgemm_with(&grid, &a, &MinPlus, &opts).gather_triples(&grid)
+                match &opts {
+                    Some(opts) => a.spgemm_with(&grid, &a, &MinPlus, opts),
+                    None => a.spgemm_reference(&grid, &a, &MinPlus),
+                }
+                .gather_triples(&grid)
             })
             .remove(0);
             got.sort_unstable();
             got
         };
-        let eager = run(SpGemmOptions::eager());
-        prop_assert_eq!(&run(SpGemmOptions::pipelined()), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(1)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(5)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(1, Some(1))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(5, Some(1000))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(3)), &eager);
+        let reference = run(None);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(1))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::column_batched(1, Some(1)))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::column_batched(5, Some(1000)))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(2))), &reference);
+        prop_assert_eq!(&run(Some(SpGemmOptions::layered(3))), &reference);
     }
 }

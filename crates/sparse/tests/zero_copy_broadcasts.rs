@@ -1,11 +1,13 @@
 //! Proof that the SUMMA stage broadcasts are zero-copy: a value type
 //! that counts its `Clone` calls flows through every distributed
-//! schedule, and the count must not move during the multiply — stage
+//! schedule and the reference multiply, and the count must not move
+//! during the multiply — stage
 //! panels travel as `Arc` clones of the owners' resident blocks (no
 //! root-side pack, no per-child deep copy), and the local kernels build
 //! outputs from references.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use elba_comm::{Backend, Runner};
 use elba_comm::{CommMsg, ProcGrid};
@@ -14,6 +16,11 @@ use elba_sparse::{DistMat, SpGemmOptions};
 
 /// Total `Tick::clone` calls across all rank threads.
 static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by every test that clones `Tick`s: the counter is process-wide,
+/// so a concurrently running test's transpose would otherwise land its
+/// clones inside another test's measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[derive(Debug, PartialEq)]
 struct Tick(u64);
@@ -62,18 +69,21 @@ impl Semiring for TickPlusTimes {
 
 #[test]
 fn summa_schedules_deep_copy_no_payloads() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for p in [4usize, 9] {
         for (label, opts) in [
-            ("eager", SpGemmOptions::eager()),
-            ("pipelined", SpGemmOptions::pipelined()),
-            ("blocked", SpGemmOptions::blocked(8)),
-            ("column_batched", SpGemmOptions::column_batched(8, None)),
+            ("reference", None),
+            ("layered1", Some(SpGemmOptions::layered(1))),
+            (
+                "column_batched",
+                Some(SpGemmOptions::column_batched(8, None)),
+            ),
             (
                 "column_batched_budget",
-                SpGemmOptions::column_batched(8, Some(4 << 10)),
+                Some(SpGemmOptions::column_batched(8, Some(4 << 10))),
             ),
-            ("layered2", SpGemmOptions::layered(2)),
-            ("layered3", SpGemmOptions::layered(3)),
+            ("layered2", Some(SpGemmOptions::layered(2))),
+            ("layered3", Some(SpGemmOptions::layered(3))),
         ] {
             let checks = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                 let grid = ProcGrid::new(comm);
@@ -99,7 +109,10 @@ fn summa_schedules_deep_copy_no_payloads() {
                 let at = a.transpose(&grid);
                 grid.world().barrier();
                 let before = CLONES.load(Ordering::SeqCst);
-                let c = a.spgemm_with(&grid, &at, &TickPlusTimes, &opts);
+                let c = match &opts {
+                    Some(opts) => a.spgemm_with(&grid, &at, &TickPlusTimes, opts),
+                    None => a.spgemm_reference(&grid, &at, &TickPlusTimes),
+                };
                 grid.world().barrier();
                 let after = CLONES.load(Ordering::SeqCst);
                 let checksum: u64 = c.local().values().iter().map(|t| t.0).sum();
@@ -119,14 +132,15 @@ fn summa_schedules_deep_copy_no_payloads() {
 #[test]
 fn schedules_agree_on_tick_product() {
     // Sanity companion: the no-clone semiring computes the same product
-    // under every schedule (checksums compare across schedules).
+    // under every schedule as under the reference (`None`; checksums
+    // compare across schedules).
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut sums = Vec::new();
     for opts in [
-        SpGemmOptions::eager(),
-        SpGemmOptions::pipelined(),
-        SpGemmOptions::blocked(4),
-        SpGemmOptions::column_batched(4, Some(2 << 10)),
-        SpGemmOptions::layered(2),
+        None,
+        Some(SpGemmOptions::layered(1)),
+        Some(SpGemmOptions::column_batched(4, Some(2 << 10))),
+        Some(SpGemmOptions::layered(2)),
     ] {
         let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
             let grid = ProcGrid::new(comm);
@@ -139,7 +153,10 @@ fn schedules_agree_on_tick_product() {
             };
             let a = DistMat::from_triples(&grid, 10, 8, triples, |acc, v: Tick| acc.0 += v.0);
             let at = a.transpose(&grid);
-            let c = a.spgemm_with(&grid, &at, &TickPlusTimes, &opts);
+            let c = match &opts {
+                Some(opts) => a.spgemm_with(&grid, &at, &TickPlusTimes, opts),
+                None => a.spgemm_reference(&grid, &at, &TickPlusTimes),
+            };
             c.local().values().iter().map(|t| t.0).sum::<u64>()
         });
         sums.push(out.iter().sum::<u64>());

@@ -154,7 +154,76 @@ struct AssembleSetup {
     kmer_exchange: String,
 }
 
-fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, String> {
+/// The `--spgemm` schedule (with its spelling) and the `--xdrop-kernel`
+/// choice, parsed before any input is read.
+struct KernelKnobs {
+    spgemm: elba::sparse::SpGemmOptions,
+    schedule: String,
+    xdrop: Option<XdropKernel>,
+}
+
+/// Parse [`KernelKnobs`]. Malformed values and the retired spellings are
+/// usage errors; a retired spelling's message names its replacement.
+fn parse_kernel_knobs(flags: &HashMap<String, String>) -> Result<KernelKnobs, CliError> {
+    if flags.contains_key("batch-rows") {
+        return Err(CliError::usage(
+            "--batch-rows was removed; use --mem-budget, which derives the row batch",
+        ));
+    }
+    let xdrop = match flags.get("xdrop-kernel").map(String::as_str) {
+        None => None,
+        Some("scalar") => Some(XdropKernel::Scalar),
+        Some("bitparallel") => Some(XdropKernel::BitParallel),
+        Some("auto") => {
+            return Err(CliError::usage(
+                "--xdrop-kernel auto was removed; use bitparallel (the default)",
+            ))
+        }
+        Some(other) => {
+            return Err(CliError::usage(format!(
+                "--xdrop-kernel must be scalar or bitparallel; got '{other}'"
+            )))
+        }
+    };
+    let schedule = flags
+        .get("spgemm")
+        .map(String::as_str)
+        .unwrap_or("layered:1");
+    let spgemm = match schedule {
+        "auto" => elba::sparse::SpGemmOptions::auto(),
+        "eager" | "pipelined" => {
+            return Err(CliError::usage(format!(
+                "--spgemm {schedule} was removed; use layered:1 (the default pipelined schedule)"
+            )))
+        }
+        "blocked" => {
+            return Err(CliError::usage(
+                "--spgemm blocked was removed; use --mem-budget (the column-batched schedule)",
+            ))
+        }
+        other => match other
+            .strip_prefix("layered:")
+            .and_then(|digits| digits.parse::<usize>().ok())
+        {
+            Some(c) if c >= 1 => elba::sparse::SpGemmOptions::layered(c),
+            _ => {
+                return Err(CliError::usage(format!(
+                    "--spgemm must be layered:c (c >= 1) or auto; got '{other}'"
+                )))
+            }
+        },
+    };
+    Ok(KernelKnobs {
+        spgemm,
+        schedule: schedule.to_owned(),
+        xdrop,
+    })
+}
+
+fn assemble_setup(
+    flags: &HashMap<String, String>,
+    knobs: KernelKnobs,
+) -> Result<AssembleSetup, String> {
     let reads = read_seqs(get(flags, "reads")?)?;
     let ranks: usize = num(flags, "ranks", 4)?;
     let q = (ranks as f64).sqrt().round() as usize;
@@ -176,17 +245,8 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
     cfg.overlap.min_score_ratio = num(flags, "min-score-ratio", 0.55f64)?;
     cfg.overlap.fuzz = num(flags, "fuzz", 100usize)?;
     cfg.tr_fuzz = num(flags, "tr-fuzz", 250u32)?;
-    if let Some(raw) = flags.get("xdrop-kernel") {
-        cfg = cfg.with_xdrop_kernel(match raw.as_str() {
-            "scalar" => XdropKernel::Scalar,
-            "bitparallel" => XdropKernel::BitParallel,
-            "auto" => XdropKernel::Auto,
-            other => {
-                return Err(format!(
-                    "--xdrop-kernel must be scalar, bitparallel, or auto; got '{other}'"
-                ))
-            }
-        });
+    if let Some(kernel) = knobs.xdrop {
+        cfg = cfg.with_xdrop_kernel(kernel);
     }
     let chain_band: usize = num(flags, "chain-band", cfg.overlap.chain_band)?;
     let chaining = match flags.get("seed-chaining").map(String::as_str) {
@@ -204,51 +264,7 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         chaining,
         chain_band,
     });
-    let schedule = flags
-        .get("spgemm")
-        .map(String::as_str)
-        .unwrap_or("pipelined");
-    cfg = cfg.with_spgemm(match schedule {
-        "eager" => elba::sparse::SpGemmOptions::eager(),
-        "pipelined" => elba::sparse::SpGemmOptions::pipelined(),
-        "blocked" => {
-            let batch_rows: usize = num(flags, "batch-rows", 1024usize)?;
-            if batch_rows == 0 {
-                return Err("--batch-rows must be at least 1".to_owned());
-            }
-            elba::sparse::SpGemmOptions::blocked(batch_rows)
-        }
-        "auto" => elba::sparse::SpGemmOptions::auto(),
-        other => {
-            // layered:c — layer count after the colon (plain "layered"
-            // defaults to 2 layers; 1 would just be pipelined).
-            if let Some(rest) = other.strip_prefix("layered") {
-                let c = match rest.strip_prefix(':') {
-                    Some(digits) => digits
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                                "--spgemm layered:c needs a positive layer count; got '{other}'"
-                            )
-                        })?,
-                    None if rest.is_empty() => 2,
-                    None => {
-                        return Err(format!(
-                            "--spgemm must be eager, pipelined, blocked, layered:c, or auto; \
-                             got '{other}'"
-                        ))
-                    }
-                };
-                elba::sparse::SpGemmOptions::layered(c)
-            } else {
-                return Err(format!(
-                    "--spgemm must be eager, pipelined, blocked, layered:c, or auto; got '{other}'"
-                ));
-            }
-        }
-    });
+    cfg = cfg.with_spgemm(knobs.spgemm);
     let kmer_exchange = flags
         .get("kmer-exchange")
         .map(String::as_str)
@@ -270,7 +286,7 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         batch_kmers,
     });
     // --mem-budget overrides the batching knobs above: one lever derives
-    // batch_kmers, batch_rows, and the column-batched SpGEMM cap.
+    // batch_kmers, the SpGEMM row batch, and the column-batched cap.
     if let Some(raw) = flags.get("mem-budget") {
         let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
         if flags.contains_key("spgemm") {
@@ -282,10 +298,8 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
                  --kmer-exchange ignored"
             );
         }
-        for knob in ["batch-kmers", "batch-rows"] {
-            if flags.contains_key(knob) {
-                eprintln!("warning: --mem-budget derives the batching knobs; --{knob} ignored");
-            }
+        if flags.contains_key("batch-kmers") {
+            eprintln!("warning: --mem-budget derives the batching knobs; --batch-kmers ignored");
         }
         cfg = cfg.with_mem_budget(budget);
     }
@@ -295,7 +309,7 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         ranks,
         threads,
         cfg,
-        schedule: schedule.to_owned(),
+        schedule: knobs.schedule,
         kmer_exchange: kmer_exchange.to_owned(),
     })
 }
@@ -434,7 +448,8 @@ fn assemble_finish(
 }
 
 fn cmd_assemble(flags: HashMap<String, String>) -> Result<(), CliError> {
-    let mut setup = assemble_setup(&flags)?;
+    let knobs = parse_kernel_knobs(&flags)?;
+    let mut setup = assemble_setup(&flags, knobs)?;
     print_banner(&setup, "in-process");
     let reads = std::mem::take(&mut setup.reads);
     let cfg = setup.cfg.clone();
@@ -649,7 +664,7 @@ fn launch_socket(
 ) -> Result<(), CliError> {
     // Fail fast in the parent on malformed flags rather than in N
     // workers at once.
-    parse_flags(assemble_args).map_err(CliError::usage)?;
+    parse_kernel_knobs(&parse_flags(assemble_args).map_err(CliError::usage)?)?;
     let exe =
         std::env::current_exe().map_err(|e| CliError::failure(format!("current_exe: {e}")))?;
     let dir = opts.socket_dir.clone().unwrap_or_else(|| {
@@ -760,7 +775,8 @@ fn run_socket_worker(
             "launch --ranks must be a perfect square, got {nranks}"
         )));
     }
-    let mut setup = assemble_setup(&flags)?;
+    let knobs = parse_kernel_knobs(&flags)?;
+    let mut setup = assemble_setup(&flags, knobs)?;
     setup.ranks = nranks;
     if rank == 0 {
         print_banner(&setup, "socket");
@@ -1060,9 +1076,9 @@ fn usage() -> String {
      \u{20}        [--genome OUT.fasta] [--scale 0.2] [--seed 2022]\n\
      assemble --reads IN.fasta --out contigs.fasta [--ranks 4] [--k 31]\n\
      \u{20}        [--threads 1] [--xdrop 15] [--min-overlap 100] [--scaffold true]\n\
-     \u{20}        [--xdrop-kernel scalar|bitparallel|auto]\n\
+     \u{20}        [--xdrop-kernel scalar|bitparallel]\n\
      \u{20}        [--seed-chaining all|chain|best] [--chain-band 128]\n\
-     \u{20}        [--spgemm eager|pipelined|blocked|layered:c|auto] [--batch-rows 1024]\n\
+     \u{20}        [--spgemm layered:c|auto] (default layered:1)\n\
      \u{20}        [--kmer-exchange eager|streaming] [--batch-kmers 65536]\n\
      \u{20}        [--mem-budget 64M] [--gfa graph.gfa]\n\
      serve    --jobs jobs.txt [--groups 2] [--group-ranks 4] [--threads 1]\n\

@@ -211,17 +211,16 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
     // grid with `--mem-budget`-equivalent configuration must (a) report
     // a per-phase memory high-water for every pipeline phase, (b) keep
     // the SpGEMM phase's tracked high-water within the budget, and (c)
-    // assemble contigs byte-identical to the unbudgeted eager run —
-    // bounded memory is a schedule change, never a result change.
+    // assemble contigs byte-identical to the unbudgeted default run with
+    // the eager k-mer exchange — bounded memory is a schedule change,
+    // never a result change.
     let spec = DatasetSpec::celegans_like(0.15, 314);
     let (_genome, reads) = reads_of(&spec);
     let budget_bytes: u64 = 8 << 20; // feasible: inputs alone are ~5 MB/rank
-    let eager_cfg = PipelineConfig::for_dataset(&spec)
-        .with_spgemm(elba::sparse::SpGemmOptions::eager())
-        .kmer_exchange(KmerExchangeConfig {
-            exchange: KmerExchange::Eager,
-            batch_kmers: 1 << 16,
-        });
+    let default_cfg = PipelineConfig::for_dataset(&spec).kmer_exchange(KmerExchangeConfig {
+        exchange: KmerExchange::Eager,
+        batch_kmers: 1 << 16,
+    });
     let budget_cfg =
         PipelineConfig::for_dataset(&spec).with_mem_budget(MemBudget::bytes(budget_bytes));
     assert_eq!(
@@ -242,7 +241,7 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
                 });
         (canonical(&outs.remove(0)), profile)
     };
-    let (eager_contigs, _) = run_profiled(eager_cfg);
+    let (default_contigs, _) = run_profiled(default_cfg);
     let (budget_contigs, profile) = run_profiled(budget_cfg);
 
     for phase in ["CountKmer", "DetectOverlap", "Alignment", "TrReduction"] {
@@ -257,8 +256,8 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
         "DetectOverlap high-water {spgemm_hw} exceeds the {budget_bytes}-byte budget"
     );
     assert_eq!(
-        eager_contigs, budget_contigs,
-        "budgeted contigs must be byte-identical to the unbudgeted eager run"
+        default_contigs, budget_contigs,
+        "budgeted contigs must be byte-identical to the unbudgeted default run"
     );
 }
 
